@@ -90,3 +90,42 @@ def touched_fragments(
     for v in frontier:
         touched.update(partition.placement(v))
     return touched
+
+
+class DirtyScope:
+    """The dirty-region scope of one incremental refinement pass.
+
+    Computed once, before the budget: the in-range ``dirty_in`` set, its
+    ``frontier``, the ``touched`` fragments hosting any frontier vertex,
+    and the partition's ``entry_generation`` (so MAssign can ask the
+    journal what the movement phases churned).  The counts land in
+    ``stats``.
+    """
+
+    def __init__(
+        self,
+        partition: HybridPartition,
+        dirty_vertices: Iterable[int],
+        stats: IncrementalStats,
+    ) -> None:
+        n = partition.graph.num_vertices
+        self.dirty_in = {v for v in dirty_vertices if 0 <= v < n}
+        self.frontier = dirty_frontier(partition.graph, self.dirty_in)
+        self.touched = touched_fragments(partition, self.frontier)
+        stats.dirty = len(self.dirty_in)
+        stats.frontier = len(self.frontier)
+        stats.fragments = len(self.touched)
+        self.entry_generation = partition.generation
+
+    def reassign(self, partition: HybridPartition) -> Set[int]:
+        """Vertices whose Eq. 5 inputs may have changed since entry.
+
+        The batch's dirty vertices plus everything the movement phases
+        just churned: a vertex's h/g features depend solely on its own
+        placement and incident edges, all of which notify the journal.
+        When the journal has lapsed, the whole frontier.
+        """
+        moved = partition.mutations_since(self.entry_generation)
+        if moved is None:
+            return self.frontier
+        return self.dirty_in | moved

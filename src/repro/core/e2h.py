@@ -20,30 +20,13 @@ Phases can be individually disabled to reproduce the appendix ablation
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.budget import classify_fragments, compute_budget
-from repro.core.candidates import get_candidates
-from repro.core.dirty import (
-    IncrementalStats,
-    RescoringModel,
-    dirty_frontier,
-    touched_fragments,
-)
-from repro.core.gaincache import GainCache, GainCacheStats
-from repro.core.massign import massign
 from repro.core.operations import emigrate, split_migrate_edge
-from repro.core.tracker import CostTracker, TrackerSeed
-from repro.costmodel.guarded import guard_cost_model
+from repro.core.session import RefineSession, RefineStats, SessionRefiner
+from repro.core.tracker import TrackerSeed
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-    RefinementGuard,
-)
+from repro.integrity.guard import GuardConfig
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.clusterspec import (
     ClusterSpec,
@@ -51,34 +34,15 @@ from repro.runtime.clusterspec import (
     effective_spec,
 )
 
-
-@dataclass
-class RefineStats:
-    """Bookkeeping of one refinement run (feeds Exp-3 and Fig. 11)."""
-
-    budget: float = 0.0
-    overloaded: int = 0
-    candidates: int = 0
-    emigrated: int = 0
-    split_vertices: int = 0
-    split_edges: int = 0
-    vmigrated: int = 0
-    vmerged: int = 0
-    master_moves: int = 0
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    cost_before: float = 0.0
-    cost_after: float = 0.0
-    guard: Optional[GuardStats] = None
-    gain_cache: Optional[GainCacheStats] = None
-    #: h/g funnel requests reaching the cost model (tracker rebuild,
-    #: candidate pricing, Eq. 5 scoring) — the incremental path's currency.
-    rescoring_calls: int = 0
-    #: Set on dirty-region passes only (``refine_incremental``).
-    incremental: Optional[IncrementalStats] = None
+__all__ = ["E2H", "RefineStats"]
 
 
-class E2H:
+class E2H(SessionRefiner):
     """Edge-cut → hybrid refiner driven by a cost model.
+
+    ``refine`` and ``refine_incremental`` (from
+    :class:`~repro.core.session.SessionRefiner`) both run the one
+    driver :meth:`_refine`, over the full scope or the dirty frontier.
 
     Parameters
     ----------
@@ -136,268 +100,45 @@ class E2H:
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
-    # ------------------------------------------------------------------
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
+    def _refine(
+        self, session: RefineSession, capture_seed: bool = False
     ) -> HybridPartition:
-        """Refine an edge-cut partition into a hybrid one.
-
-        Returns a new partition unless ``in_place`` is set.  Statistics
-        of the run are kept in :attr:`last_stats`.  With
-        ``capture_seed`` the final tracker state is snapshotted into
-        :attr:`last_seed` so a later :meth:`refine_incremental` can
-        warm-start instead of rebuilding the tracker cold.
-        """
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            # The memo wraps the (possibly guarded) model: values are
-            # identical either way, and guardrail checks still apply to
-            # every distinct evaluation.
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        # Outermost counting layer: tallies the h/g requests the run
-        # demands (values pass through untouched).
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch evaluation: querying the tracker here
-                # would change its lazy-flush boundaries and perturb
-                # float accumulation order in the cached costs.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            order = None
-            if self.candidate_order == "arbitrary":
-                # Ablation: fragment-internal order instead of the
-                # locality-preserving BFS traversal (GetCandidates).
-                order = sorted(partition.fragments[fid].vertices())
-            candidates[fid] = get_candidates(
-                tracker,
-                fid,
-                tracker.keep_budget(fid, budget),
-                NodeRole.ECUT,
-                order=order,
-            )
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                start = time.perf_counter()
-                self._phase_emigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["emigrate"] = time.perf_counter() - start
-            if self.enable_esplit:
-                start = time.perf_counter()
-                self._phase_esplit(tracker, candidates, stats, guard, cache)
-                stats.phase_seconds["esplit"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                stats.master_moves = massign(tracker, guard=guard, cache=cache)
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> HybridPartition:
-        """Dirty-region refinement after a small mutation batch (DESIGN §15).
-
-        Runs the same three phases as :meth:`refine` with their scope
-        narrowed to the dirty frontier — ``dirty_vertices`` plus their
-        graph neighbors — inside the fragments hosting any frontier
-        vertex: candidates outside the frontier are skipped, and MAssign
-        only revisits frontier border vertices.  The cost tracker is
-        seeded from ``seed`` (default: :attr:`last_seed`, captured by a
-        prior ``refine(..., capture_seed=True)`` or incremental pass)
-        when the partition's mutation journal still covers it, replacing
-        the cold per-copy rebuild with a delta replay.  A fresh snapshot
-        is stored in :attr:`last_seed` afterwards so consecutive
-        incremental passes stay warm.
-
-        Defaults to in-place: a copied partition has its own journal and
-        generation counter, against which a seed captured on the
-        original cannot be replayed.
-        """
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+        """EMigrate → ESplit → MAssign over the session's scope."""
+        order = None
+        if self.candidate_order == "arbitrary":
+            # Ablation: fragment-internal order instead of the
+            # locality-preserving BFS traversal (GetCandidates).
+            fragments = session.partition.fragments
+            order = lambda fid: sorted(fragments[fid].vertices())
+        candidates = session.candidates(NodeRole.ECUT, order=order)
+        session.run(
+            [
+                (
+                    "emigrate",
+                    self.enable_emigrate,
+                    lambda: self._phase_emigrate(session, candidates),
+                ),
+                (
+                    "esplit",
+                    self.enable_esplit,
+                    lambda: self._phase_esplit(session, candidates),
+                ),
+                ("massign", self.enable_massign, session.massign),
+            ],
+            capture_seed,
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            if fid not in touched:
-                continue
-            order = None
-            if self.candidate_order == "arbitrary":
-                order = sorted(partition.fragments[fid].vertices())
-            # The BFS walk itself prices nothing (cached per-copy sums);
-            # only frontier members may move.
-            cand = get_candidates(
-                tracker,
-                fid,
-                tracker.keep_budget(fid, budget),
-                NodeRole.ECUT,
-                order=order,
-            )
-            candidates[fid] = [unit for unit in cand if unit[0] in frontier]
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                start = time.perf_counter()
-                self._phase_emigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["emigrate"] = time.perf_counter() - start
-            if self.enable_esplit:
-                start = time.perf_counter()
-                self._phase_esplit(tracker, candidates, stats, guard, cache)
-                stats.phase_seconds["esplit"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                # Only vertices whose Eq. 5 inputs changed need rescoring:
-                # the batch's dirty vertices plus everything the movement
-                # phases just churned (a vertex's h/g features depend
-                # solely on its own placement and incident edges, all of
-                # which notify the journal).  The residual pass keeps the
-                # untouched masters' standing communication in the
-                # accumulators.
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = sorted(frontier)
-                else:
-                    reassign = sorted(dirty_in | moved)
-                stats.master_moves = massign(
-                    tracker,
-                    vertices=reassign,
-                    guard=guard,
-                    cache=cache,
-                    residual=True,
-                )
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
+        self.last_stats = session.stats
+        return session.partition
 
     # ------------------------------------------------------------------
     def _phase_emigrate(
-        self,
-        tracker: CostTracker,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
+        self, session: RefineSession, candidates: Dict[int, List]
     ) -> None:
         """Fig. 3 lines 6-10: ship whole candidates to underloaded fragments."""
-        partition = tracker.partition
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        budget, underloaded = session.budget, session.underloaded
         for src, cand_list in candidates.items():
             remaining = []
             for v, _edges in cand_list:
@@ -417,8 +158,6 @@ class E2H:
                     destinations = sorted(underloaded, key=tracker.load)
                 placed = False
                 for dst in destinations:
-                    if dst == src:
-                        continue
                     if (
                         tracker.projected_load(
                             dst, tracker.comp_cost(dst) + price
@@ -426,7 +165,7 @@ class E2H:
                         <= budget
                     ):
                         emigrate(partition, v, src, dst)
-                        stats.emigrated += 1
+                        session.stats.emigrated += 1
                         placed = True
                         if guard is not None:
                             guard.step()
@@ -436,15 +175,13 @@ class E2H:
             candidates[src] = remaining
 
     def _phase_esplit(
-        self,
-        tracker: CostTracker,
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
+        self, session: RefineSession, candidates: Dict[int, List]
     ) -> None:
         """Fig. 3 lines 11-14: split leftovers edge by edge to argmin C_h."""
-        partition = tracker.partition
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        stats = session.stats
         n = partition.num_fragments
         for src, cand_list in candidates.items():
             for v, _snapshot in cand_list:

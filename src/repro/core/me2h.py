@@ -24,9 +24,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.budget import compute_budget
 from repro.core.candidates import bfs_order
 from repro.core.dirty import IncrementalStats
-from repro.core.e2h import E2H
+from repro.core.e2h import E2H, RefineStats
 from repro.core.gaincache import GainCache, GainCacheStats
 from repro.core.getdest import get_dest
 from repro.core.massign import massign
@@ -66,6 +67,17 @@ class CompositeStats:
     rescoring_calls: int = 0
     #: Per-output dirty-region scopes (incremental passes only).
     incremental: Dict[str, "IncrementalStats"] = field(default_factory=dict)
+
+    def absorb(self, name: str, wstats: RefineStats) -> None:
+        """Fold one output's incremental-pass stats in under ``name``."""
+        self.budgets[name] = wstats.budget
+        if wstats.guard is not None:
+            self.guard[name] = wstats.guard
+        if wstats.gain_cache is not None:
+            self.gain_cache[name] = wstats.gain_cache
+        self.phase_seconds[name] = sum(wstats.phase_seconds.values())
+        self.rescoring_calls += wstats.rescoring_calls
+        self.incremental[name] = wstats.incremental
 
 
 class _GuardSet:
@@ -168,15 +180,7 @@ class ME2H:
             worker.refine_incremental(
                 composite.partitions[name], dirty_vertices
             )
-            wstats = worker.last_stats
-            stats.budgets[name] = wstats.budget
-            if wstats.guard is not None:
-                stats.guard[name] = wstats.guard
-            if wstats.gain_cache is not None:
-                stats.gain_cache[name] = wstats.gain_cache
-            stats.phase_seconds[name] = sum(wstats.phase_seconds.values())
-            stats.rescoring_calls += wstats.rescoring_calls
-            stats.incremental[name] = wstats.incremental
+            stats.absorb(name, worker.last_stats)
         composite.rebuild_index()
         self.last_stats = stats
         return composite
@@ -193,16 +197,7 @@ class ME2H:
         # Capacity-aware: per-unit-speed budget when a spec is active.
         for name, model in self.cost_models.items():
             input_tracker = CostTracker(partition, model, spec=self.cluster_spec)
-            if self.cluster_spec is None:
-                stats.budgets[name] = (
-                    self.budget_slack * sum(input_tracker.comp_costs()) / n
-                )
-            else:
-                stats.budgets[name] = (
-                    self.budget_slack
-                    * sum(input_tracker.comp_costs())
-                    / sum(self.cluster_spec.speeds)
-                )
+            stats.budgets[name] = compute_budget(input_tracker, self.budget_slack)
             input_tracker.detach()
 
         # Fresh output partitions and trackers, one per algorithm.

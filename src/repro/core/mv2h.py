@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.budget import compute_budget
 from repro.core.candidates import bfs_order
 from repro.core.gaincache import GainCache
 from repro.core.getdest import get_dest
@@ -90,15 +91,7 @@ class MV2H:
             worker.refine_incremental(
                 composite.partitions[name], dirty_vertices
             )
-            wstats = worker.last_stats
-            stats.budgets[name] = wstats.budget
-            if wstats.guard is not None:
-                stats.guard[name] = wstats.guard
-            if wstats.gain_cache is not None:
-                stats.gain_cache[name] = wstats.gain_cache
-            stats.phase_seconds[name] = sum(wstats.phase_seconds.values())
-            stats.rescoring_calls += wstats.rescoring_calls
-            stats.incremental[name] = wstats.incremental
+            stats.absorb(name, worker.last_stats)
         composite.rebuild_index()
         self.last_stats = stats
         return composite
@@ -113,16 +106,7 @@ class MV2H:
 
         for name, model in self.cost_models.items():
             input_tracker = CostTracker(partition, model, spec=self.cluster_spec)
-            if self.cluster_spec is None:
-                stats.budgets[name] = (
-                    self.budget_slack * sum(input_tracker.comp_costs()) / n
-                )
-            else:
-                stats.budgets[name] = (
-                    self.budget_slack
-                    * sum(input_tracker.comp_costs())
-                    / sum(self.cluster_spec.speeds)
-                )
+            stats.budgets[name] = compute_budget(input_tracker, self.budget_slack)
             input_tracker.detach()
 
         outputs: Dict[str, HybridPartition] = {

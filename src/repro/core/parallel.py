@@ -30,29 +30,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.budget import classify_fragments, compute_budget
-from repro.core.candidates import get_candidates
-from repro.core.dirty import (
-    IncrementalStats,
-    RescoringModel,
-    dirty_frontier,
-    touched_fragments,
-)
-from repro.core.e2h import RefineStats
 from repro.core.gaincache import GainCache
 from repro.core.me2h import ME2H, CompositeStats
 from repro.core.mv2h import MV2H
 from repro.core.operations import emigrate, split_migrate_edge, vmerge, vmigrate
+from repro.core.session import Phase, RefineSession, RefineStats, SessionRefiner
 from repro.core.tracker import CostTracker, TrackerSeed
-from repro.core.v2h import V2H
-from repro.costmodel.guarded import guard_cost_model
+from repro.core.v2h import merged_price
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-    RefinementGuard,
-)
+from repro.integrity.guard import GuardConfig, RefinementGuard
 from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.bsp import Cluster
@@ -90,13 +76,17 @@ class _PhaseMeter:
     def _snapshot(self) -> Tuple[float, int]:
         return self.cluster.profile.makespan, self.cluster.profile.num_supersteps
 
-    def run(self, name: str, body) -> None:
-        """Execute ``body`` and record its makespan/superstep deltas."""
+    def run(self, name: str, body):
+        """Execute ``body``, record its makespan/superstep deltas.
+
+        Returns whatever ``body`` returns.
+        """
         before = self._snapshot()
-        body()
+        result = body()
         after = self._snapshot()
         self.profile.phase_times[name] = after[0] - before[0]
         self.profile.phase_supersteps[name] = after[1] - before[1]
+        return result
 
 
 def _sync_state(cluster: Cluster) -> None:
@@ -109,8 +99,71 @@ def _sync_state(cluster: Cluster) -> None:
     cluster.deliver()
 
 
-class ParE2H:
+class _ParallelSession(RefineSession):
+    """A :class:`RefineSession` run as supersteps on the BSP simulator.
+
+    Adds the simulated cluster and the per-phase meter: candidate
+    selection becomes the charged ``setup`` superstep, every phase is
+    metered by simulated makespan instead of wall time, and MAssign is
+    the batched variant.  Phase timings land in :attr:`profile`.
+    """
+
+    def __init__(self, refiner, *args, **kw) -> None:
+        super().__init__(refiner, *args, **kw)
+        self.batch_size = refiner.batch_size
+        self.cluster = Cluster(
+            self.partition, clock=refiner.clock, spec=refiner.cluster_spec
+        )
+        self.profile = RefinementProfile(stats=self.stats)
+        self.meter = _PhaseMeter(self.cluster, self.profile)
+
+    def setup(self, role: NodeRole) -> Dict[int, List]:
+        """Candidate selection as one charged superstep."""
+        fragments = self.partition.fragments
+
+        def body() -> Dict[int, List]:
+            candidates = self.candidates(
+                role,
+                charge=lambda fid: self.cluster.charge(
+                    fid, fragments[fid].num_vertices
+                ),
+            )
+            _sync_state(self.cluster)
+            return candidates
+
+        return self.meter.run("setup", body)
+
+    def massign(self) -> None:
+        # A set, not a sorted list: the batched pass tests membership
+        # while scanning every vertex, and sorts each worker's share.
+        vertices = None
+        if self.scope is not None:
+            vertices = self.scope.reassign(self.partition)
+        _parallel_massign_impl(
+            self.cluster,
+            self.tracker,
+            self.stats,
+            self.batch_size,
+            self.guard,
+            self.cache,
+            vertices=vertices,
+            residual=self.scope is not None,
+        )
+
+    def finish(
+        self, phases: List[Phase], capture_seed: bool
+    ) -> Tuple[HybridPartition, RefinementProfile]:
+        """Run the metered phases; return ``(partition, profile)``."""
+        self.run(phases, capture_seed, timed=self.meter.run)
+        self.profile.total_time = self.cluster.profile.makespan
+        self.profile.wall_seconds = time.perf_counter() - self.wall_start
+        return self.partition, self.profile
+
+
+class ParE2H(SessionRefiner):
     """Parallel E2H on the BSP simulator."""
+
+    _session = _ParallelSession
 
     def __init__(
         self,
@@ -137,266 +190,39 @@ class ParE2H:
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_seed: Optional[TrackerSeed] = None
 
-    # ------------------------------------------------------------------
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
+    def _refine(
+        self, session: _ParallelSession, capture_seed: bool = False
     ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Refine; returns ``(hybrid partition, timing profile)``.
-
-        ``capture_seed`` snapshots the final tracker state into
-        :attr:`last_seed` for a later :meth:`refine_incremental`.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch: a tracker query here would shift its
-                # lazy-flush boundaries and the cached cost accumulation.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.ECUT
-                )
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                meter.run(
+        """Batched EMigrate → ESplit → MAssign over the session's scope."""
+        candidates = session.setup(NodeRole.ECUT)
+        return session.finish(
+            [
+                (
                     "emigrate",
-                    lambda: self._parallel_emigrate(
-                        cluster, tracker, budget, underloaded, candidates,
-                        stats, guard, cache
-                    ),
-                )
-            if self.enable_esplit:
-                meter.run(
+                    self.enable_emigrate,
+                    lambda: self._parallel_emigrate(session, candidates),
+                ),
+                (
                     "esplit",
-                    lambda: self._parallel_esplit(
-                        cluster, tracker, candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_massign:
-                meter.run(
-                    "massign",
-                    lambda: self._parallel_massign(
-                        cluster, tracker, stats, guard, cache
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Dirty-region parallel refinement (DESIGN §15).
-
-        The batched phases run with their scope narrowed to the dirty
-        frontier inside the fragments hosting it, over a tracker seeded
-        from ``seed`` (default :attr:`last_seed`); see
-        :meth:`~repro.core.e2h.E2H.refine_incremental` for the scoping
-        rules.  Returns ``(partition, profile)`` like :meth:`refine`.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+                    self.enable_esplit,
+                    lambda: self._parallel_esplit(session, candidates),
+                ),
+                ("massign", self.enable_massign, session.massign),
+            ],
+            capture_seed,
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                if fid not in touched:
-                    continue
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.ECUT
-                )
-                cands = [unit for unit in cands if unit[0] in frontier]
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                meter.run(
-                    "emigrate",
-                    lambda: self._parallel_emigrate(
-                        cluster, tracker, budget, underloaded, candidates,
-                        stats, guard, cache
-                    ),
-                )
-            if self.enable_esplit:
-                meter.run(
-                    "esplit",
-                    lambda: self._parallel_esplit(
-                        cluster, tracker, candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_massign:
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = frontier
-                else:
-                    reassign = dirty_in | moved
-                meter.run(
-                    "massign",
-                    lambda: _parallel_massign_impl(
-                        cluster,
-                        tracker,
-                        stats,
-                        self.batch_size,
-                        guard,
-                        cache,
-                        vertices=reassign,
-                        residual=True,
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
 
     # ------------------------------------------------------------------
     def _parallel_emigrate(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
+        self, session: _ParallelSession, candidates: Dict[int, List]
     ) -> None:
         """Round-robin batched candidate shipping (Section 5.3)."""
-        partition = tracker.partition
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        cluster, budget, underloaded = (
+            session.cluster, session.budget, session.underloaded
+        )
         if not underloaded:
             return
         # Per-source queues of (vertex, edges, attempts).
@@ -416,12 +242,6 @@ class ParE2H:
                     ):
                         continue
                     dst = underloaded[attempts % k]
-                    if dst == src:
-                        attempts += 1
-                        dst = underloaded[attempts % k]
-                        if dst == src:
-                            leftovers[src].append((v, edges))
-                            continue
                     cluster.send(src, dst, None, nbytes=16.0 + 8.0 * len(edges))
                     cluster.charge(dst, C1_OPS)
                     if cache is not None:
@@ -437,7 +257,7 @@ class ParE2H:
                         <= budget
                     ):
                         emigrate(partition, v, src, dst)
-                        stats.emigrated += 1
+                        session.stats.emigrated += 1
                         if guard is not None:
                             guard.step()
                     elif attempts + 1 < k:
@@ -449,16 +269,13 @@ class ParE2H:
             candidates[src] = leftovers.get(src, [])
 
     def _parallel_esplit(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
+        self, session: _ParallelSession, candidates: Dict[int, List]
     ) -> None:
         """Batched greedy edge splitting against shared cost state."""
-        partition = tracker.partition
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        cluster, stats = session.cluster, session.stats
         n = partition.num_fragments
         pending: Dict[int, List] = {}
         for src, cand_list in candidates.items():
@@ -495,19 +312,6 @@ class ParE2H:
                         guard.step()
             _sync_state(cluster)
 
-    def _parallel_massign(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
-        """Batched Eq. 5 master assignment with shared accumulators."""
-        _parallel_massign_impl(
-            cluster, tracker, stats, self.batch_size, guard, cache
-        )
-
 
 def _parallel_massign_impl(
     cluster: Cluster,
@@ -519,6 +323,7 @@ def _parallel_massign_impl(
     vertices=None,
     residual: bool = False,
 ) -> None:
+    """Batched Eq. 5 master assignment with shared accumulators."""
     partition = tracker.partition
     model = tracker.cost_model
     avg = tracker.avg_degree
@@ -604,8 +409,10 @@ def _parallel_massign_impl(
         _sync_state(cluster)
 
 
-class ParV2H:
+class ParV2H(SessionRefiner):
     """Parallel V2H on the BSP simulator."""
+
+    _session = _ParallelSession
 
     def __init__(
         self,
@@ -634,278 +441,39 @@ class ParV2H:
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_seed: Optional[TrackerSeed] = None
 
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
+    def _refine(
+        self, session: _ParallelSession, capture_seed: bool = False
     ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Refine; returns ``(hybrid partition, timing profile)``.
-
-        ``capture_seed`` snapshots the final tracker state into
-        :attr:`last_seed` for a later :meth:`refine_incremental`.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch: a tracker query here would shift its
-                # lazy-flush boundaries and the cached cost accumulation.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-        helper = V2H(
-            model,
-            budget_slack=self.budget_slack,
-            vmerge_passes=self.vmerge_passes,
-            cluster_spec=self.cluster_spec,
-        )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-                )
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                meter.run(
+        """Batched VMigrate → VMerge → MAssign over the session's scope."""
+        candidates = session.setup(NodeRole.VCUT)
+        return session.finish(
+            [
+                (
                     "vmigrate",
-                    lambda: self._parallel_vmigrate(
-                        cluster, tracker, helper, budget, underloaded,
-                        candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_vmerge:
-                meter.run(
+                    self.enable_vmigrate,
+                    lambda: self._parallel_vmigrate(session, candidates),
+                ),
+                (
                     "vmerge",
-                    lambda: self._parallel_vmerge(
-                        cluster, tracker, helper, budget, stats, guard, cache
-                    ),
-                )
-            if self.enable_massign:
-                meter.run(
-                    "massign",
-                    lambda: _parallel_massign_impl(
-                        cluster, tracker, stats, self.batch_size, guard, cache
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Dirty-region parallel refinement (DESIGN §15).
-
-        Mirrors :meth:`refine` with the batched phases narrowed to the
-        dirty frontier in its hosting fragments and the tracker seeded
-        from ``seed`` (default :attr:`last_seed`); see
-        :meth:`~repro.core.v2h.V2H.refine_incremental` for the scoping
-        rules.  Returns ``(partition, profile)``.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+                    self.enable_vmerge,
+                    lambda: self._parallel_vmerge(session),
+                ),
+                ("massign", self.enable_massign, session.massign),
+            ],
+            capture_seed,
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-        helper = V2H(
-            model,
-            budget_slack=self.budget_slack,
-            vmerge_passes=self.vmerge_passes,
-            cluster_spec=self.cluster_spec,
-        )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                if fid not in touched:
-                    continue
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-                )
-                cands = [unit for unit in cands if unit[0] in frontier]
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                meter.run(
-                    "vmigrate",
-                    lambda: self._parallel_vmigrate(
-                        cluster, tracker, helper, budget, underloaded,
-                        candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_vmerge:
-                meter.run(
-                    "vmerge",
-                    lambda: self._parallel_vmerge(
-                        cluster, tracker, helper, budget, stats, guard, cache,
-                        frontier=frontier, fragments=touched
-                    ),
-                )
-            if self.enable_massign:
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = frontier
-                else:
-                    reassign = dirty_in | moved
-                meter.run(
-                    "massign",
-                    lambda: _parallel_massign_impl(
-                        cluster,
-                        tracker,
-                        stats,
-                        self.batch_size,
-                        guard,
-                        cache,
-                        vertices=reassign,
-                        residual=True,
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
 
     # ------------------------------------------------------------------
     def _parallel_vmigrate(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        helper: V2H,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
+        self, session: _ParallelSession, candidates: Dict[int, List]
     ) -> None:
-        partition = tracker.partition
+        """Batched VMigrate: ship v-cut copies to co-hosting workers in turn."""
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        cluster, budget, underloaded = (
+            session.cluster, session.budget, session.underloaded
+        )
         queues: Dict[int, List] = {
             src: [(v, edges, 0) for v, edges in cand_list]
             for src, cand_list in candidates.items()
@@ -923,7 +491,7 @@ class ParV2H:
                     hosts = [
                         fid
                         for fid in underloaded
-                        if fid != src and partition.fragments[fid].has_vertex(v)
+                        if partition.fragments[fid].has_vertex(v)
                     ]
                     if attempts >= len(hosts):
                         continue
@@ -935,10 +503,10 @@ class ParV2H:
                             v,
                             src,
                             dst,
-                            lambda: helper._merged_price(tracker, v, src, dst),
+                            lambda: merged_price(tracker, v, src, dst),
                         )
                     else:
-                        new_price = helper._merged_price(tracker, v, src, dst)
+                        new_price = merged_price(tracker, v, src, dst)
                     old_price = tracker.copy_comp_cost(v, dst)
                     if (
                         tracker.projected_load(
@@ -947,32 +515,26 @@ class ParV2H:
                         <= budget
                     ):
                         vmigrate(partition, v, src, dst)
-                        stats.vmigrated += 1
+                        session.stats.vmigrated += 1
                         if guard is not None:
                             guard.step()
                     else:
                         queues[src].append((v, edges, attempts + 1))
             _sync_state(cluster)
 
-    def _parallel_vmerge(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        helper: V2H,
-        budget: float,
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-        frontier=None,
-        fragments=None,
-    ) -> None:
-        partition = tracker.partition
+    def _parallel_vmerge(self, session: _ParallelSession) -> None:
+        """Batched VMerge: underloaded workers promote their v-cut nodes."""
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        cluster, budget, scope = session.cluster, session.budget, session.scope
+        frontier = None if scope is None else scope.frontier
+        fragments = None if scope is None else scope.touched
         graph = partition.graph
         for _pass in range(self.vmerge_passes):
             merged_any = False
-            # Each underloaded worker scans its own v-cut nodes in batches.
-            # ``frontier``/``fragments`` narrow the scan for the
-            # incremental path (DESIGN §15); None scans everything.
+            # Each underloaded worker scans its own v-cut nodes in batches;
+            # the dirty scope narrows the scan (DESIGN §15).
             work: Dict[int, List[int]] = {}
             for fid in range(partition.num_fragments):
                 if fragments is not None and fid not in fragments:
@@ -1035,7 +597,7 @@ class ParV2H:
                                 partition.master(v), fid, None, nbytes=16.0
                             )
                         vmerge(partition, v, fid, missing)
-                        stats.vmerged += 1
+                        session.stats.vmerged += 1
                         merged_any = True
                         if guard is not None:
                             guard.step()

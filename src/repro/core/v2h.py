@@ -16,31 +16,14 @@ copies, hurting locality.  Guided by ``h_A``, V2H:
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
-from repro.core.budget import classify_fragments, compute_budget
-from repro.core.candidates import get_candidates
-from repro.core.dirty import (
-    IncrementalStats,
-    RescoringModel,
-    dirty_frontier,
-    touched_fragments,
-)
-from repro.core.e2h import RefineStats
-from repro.core.gaincache import GainCache
-from repro.core.massign import massign
 from repro.core.operations import vmerge, vmigrate
+from repro.core.session import RefineSession, RefineStats, SessionRefiner
 from repro.core.tracker import CostTracker, TrackerSeed
 from repro.costmodel.features import vertex_features
-from repro.costmodel.guarded import guard_cost_model
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-    RefinementGuard,
-)
+from repro.integrity.guard import GuardConfig
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.clusterspec import (
     ClusterSpec,
@@ -49,12 +32,39 @@ from repro.runtime.clusterspec import (
 )
 
 
-class V2H:
+def merged_price(tracker: CostTracker, v: int, src: int, dst: int) -> float:
+    """h_A of the merged copy at ``dst`` after absorbing the src copy."""
+    partition = tracker.partition
+    src_frag = partition.fragments[src]
+    features = vertex_features(partition, v, dst, tracker.avg_degree)
+    extra = src_frag.incident(v) - partition.fragments[dst].incident(v)
+    added_in = 0
+    added_out = 0
+    for edge in extra:
+        if partition.graph.directed:
+            if edge[1] == v:
+                added_in += 1
+            if edge[0] == v:
+                added_out += 1
+        else:
+            added_in += 1
+            added_out += 1
+    features = dict(features)
+    features["d_in_L"] += added_in
+    features["d_out_L"] += added_out
+    features["d_L"] += len(extra)
+    # Evaluate through the tracker's model (identical values; when the
+    # gain cache is active this is the memoized model).
+    return tracker.cost_model.h_value(features)
+
+
+class V2H(SessionRefiner):
     """Vertex-cut → hybrid refiner driven by a cost model.
 
     ``cluster_spec`` activates capacity-aware balancing exactly as in
     :class:`~repro.core.e2h.E2H`: budgets and load comparisons are per
-    unit of compute speed; None/uniform stays bit-identical.
+    unit of compute speed; None/uniform stays bit-identical.  Both
+    entry points run the one driver :meth:`_refine`.
     """
 
     phases = ("vmigrate", "vmerge", "massign")
@@ -83,265 +93,35 @@ class V2H:
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
-    # ------------------------------------------------------------------
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
+    def _refine(
+        self, session: RefineSession, capture_seed: bool = False
     ) -> HybridPartition:
-        """Refine a vertex-cut partition into a hybrid one.
-
-        ``capture_seed`` snapshots the final tracker state into
-        :attr:`last_seed` for a later :meth:`refine_incremental`.
-        """
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch: a tracker query here would shift its
-                # lazy-flush boundaries and the cached cost accumulation.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            candidates[fid] = get_candidates(
-                tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-            )
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                start = time.perf_counter()
-                self._phase_vmigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["vmigrate"] = time.perf_counter() - start
-            if self.enable_vmerge:
-                start = time.perf_counter()
-                self._phase_vmerge(tracker, budget, stats, guard, cache)
-                stats.phase_seconds["vmerge"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                stats.master_moves = massign(tracker, guard=guard, cache=cache)
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> HybridPartition:
-        """Dirty-region refinement after a small mutation batch (DESIGN §15).
-
-        Mirrors :meth:`refine` with every phase narrowed to the dirty
-        frontier (``dirty_vertices`` plus graph neighbors) inside the
-        fragments hosting any frontier vertex: VMigrate candidates are
-        filtered to frontier members, VMerge only scans touched
-        fragments' frontier v-cuts, and MAssign revisits only frontier
-        border vertices.  The tracker warm-starts from ``seed``
-        (default: :attr:`last_seed`) via the mutation journal; a fresh
-        snapshot is captured afterwards.  In-place by default — a copy's
-        journal cannot replay a seed captured on the original.
-        """
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+        """VMigrate → VMerge → MAssign over the session's scope."""
+        candidates = session.candidates(NodeRole.VCUT)
+        session.run(
+            [
+                (
+                    "vmigrate",
+                    self.enable_vmigrate,
+                    lambda: self._phase_vmigrate(session, candidates),
+                ),
+                ("vmerge", self.enable_vmerge, lambda: self._phase_vmerge(session)),
+                ("massign", self.enable_massign, session.massign),
+            ],
+            capture_seed,
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            if fid not in touched:
-                continue
-            cand = get_candidates(
-                tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-            )
-            candidates[fid] = [unit for unit in cand if unit[0] in frontier]
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                start = time.perf_counter()
-                self._phase_vmigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["vmigrate"] = time.perf_counter() - start
-            if self.enable_vmerge:
-                start = time.perf_counter()
-                self._phase_vmerge(
-                    tracker,
-                    budget,
-                    stats,
-                    guard,
-                    cache,
-                    frontier=frontier,
-                    fragments=touched,
-                )
-                stats.phase_seconds["vmerge"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                # Rescore only vertices whose Eq. 5 inputs changed (see
-                # the E2H incremental pass for the rationale).
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = sorted(frontier)
-                else:
-                    reassign = sorted(dirty_in | moved)
-                stats.master_moves = massign(
-                    tracker,
-                    vertices=reassign,
-                    guard=guard,
-                    cache=cache,
-                    residual=True,
-                )
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
+        self.last_stats = session.stats
+        return session.partition
 
     # ------------------------------------------------------------------
-    def _merged_price(
-        self, tracker: CostTracker, v: int, src: int, dst: int
-    ) -> float:
-        """h_A of the merged copy at ``dst`` after absorbing the src copy."""
-        partition = tracker.partition
-        src_frag = partition.fragments[src]
-        features = vertex_features(partition, v, dst, tracker.avg_degree)
-        extra = src_frag.incident(v) - partition.fragments[dst].incident(v)
-        added_in = 0
-        added_out = 0
-        for edge in extra:
-            if partition.graph.directed:
-                if edge[1] == v:
-                    added_in += 1
-                if edge[0] == v:
-                    added_out += 1
-            else:
-                added_in += 1
-                added_out += 1
-        features = dict(features)
-        features["d_in_L"] += added_in
-        features["d_out_L"] += added_out
-        features["d_L"] += len(extra)
-        # Evaluate through the tracker's model (identical values; when
-        # the gain cache is active this is the memoized model).
-        return tracker.cost_model.h_value(features)
-
     def _phase_vmigrate(
-        self,
-        tracker: CostTracker,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
+        self, session: RefineSession, candidates: Dict[int, List]
     ) -> None:
         """Fig. 4 lines 6-10: merge v-cut copies into co-located copies."""
-        partition = tracker.partition
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        budget, underloaded = session.budget, session.underloaded
         for src, cand_list in candidates.items():
             remaining = []
             for v, _edges in cand_list:
@@ -357,17 +137,17 @@ class V2H:
                 else:
                     destinations = sorted(underloaded, key=tracker.load)
                 for dst in destinations:
-                    if dst == src or not partition.fragments[dst].has_vertex(v):
+                    if not partition.fragments[dst].has_vertex(v):
                         continue
                     if cache is not None:
                         new_price = cache.merged_price(
                             v,
                             src,
                             dst,
-                            lambda: self._merged_price(tracker, v, src, dst),
+                            lambda: merged_price(tracker, v, src, dst),
                         )
                     else:
-                        new_price = self._merged_price(tracker, v, src, dst)
+                        new_price = merged_price(tracker, v, src, dst)
                     old_price = tracker.copy_comp_cost(v, dst)
                     if (
                         tracker.projected_load(
@@ -376,7 +156,7 @@ class V2H:
                         <= budget
                     ):
                         vmigrate(partition, v, src, dst)
-                        stats.vmigrated += 1
+                        session.stats.vmigrated += 1
                         placed = True
                         if guard is not None:
                             guard.step()
@@ -385,24 +165,19 @@ class V2H:
                     remaining.append((v, _edges))
             candidates[src] = remaining
 
-    def _phase_vmerge(
-        self,
-        tracker: CostTracker,
-        budget: float,
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-        frontier: Optional[set] = None,
-        fragments: Optional[set] = None,
-    ) -> None:
+    def _phase_vmerge(self, session: RefineSession) -> None:
         """Fig. 4 lines 11-14: promote v-cut nodes to e-cut nodes.
 
-        ``frontier``/``fragments`` narrow the scan for the incremental
-        path: only the listed fragments are visited and only frontier
-        v-cuts considered for promotion.  ``None`` (the full pass) scans
-        everything.
+        The dirty scope narrows the scan: only touched fragments are
+        visited and only frontier v-cuts considered for promotion.  The
+        full scope scans everything.
         """
-        partition = tracker.partition
+        partition, tracker, guard, cache = (
+            session.partition, session.tracker, session.guard, session.cache
+        )
+        budget, scope = session.budget, session.scope
+        frontier = None if scope is None else scope.frontier
+        fragments = None if scope is None else scope.touched
         graph = partition.graph
         n = partition.num_fragments
         for _pass in range(self.vmerge_passes):
@@ -458,7 +233,7 @@ class V2H:
                     ):
                         continue
                     vmerge(partition, v, fid, missing)
-                    stats.vmerged += 1
+                    session.stats.vmerged += 1
                     merged_any = True
                     if guard is not None:
                         guard.step()
